@@ -51,7 +51,8 @@
 // (routed, and past the budget spilled) rather than task completion, so
 // slow routing stalls the parser instead of accumulating bands.
 // Routed-but-unmerged shuffle pieces past modin.WithShuffleSpillBudget
-// spill through internal/storage and re-resolve lazily inside the merge
+// spill through internal/storage (as core.EncodeFrame bytes, the codec the
+// cluster ships blocks in) and re-resolve lazily inside the merge
 // task that consumes them; cancellation routes through
 // modin.Engine.ReleaseSpill so no spill files outlive a failed query.
 // Stacked SELECTIONs inside a fused chain narrow one shared selection
@@ -87,7 +88,11 @@
 // Distributed execution: internal/cluster moves the engine across process
 // boundaries. cmd/dfworker processes execute fused stages and shuffle
 // phases shipped over a length-prefixed columnar wire format serialized
-// straight from internal/vector typed storage, and a coordinator-side
+// straight from internal/vector typed storage. One codec serves spill
+// files, cluster blocks and control messages: frames encode through
+// core.EncodeFrame, and scalars (column labels, plan operands, key
+// exemplars, sort bounds) through types.Value's MarshalBinary, so gob
+// carries the engine's own plan types. A coordinator-side
 // cluster.Scheduler implements the same engine surface df binds locally —
 // plans whose operators cannot cross a process boundary (opaque Go
 // closures, joins, windows) fall back to an embedded in-process engine

@@ -162,30 +162,45 @@ func TestDistributedRenameChain(t *testing.T) {
 }
 
 // Opaque predicates and unsupported operators must fall back to the local
-// engine, transparently.
+// engine, transparently — and so must a structured Where whose operand has
+// no binary form (Composite), under the same reason.
 func TestFallbackForOpaquePlans(t *testing.T) {
 	s, _ := startCluster(t, 2)
 	scan := csvScan(t, genCSV(100), 40)
-	plan := &algebra.Selection{
-		Input: scan,
-		Pred:  func(r expr.Row) bool { return true },
-		Desc:  "opaque",
+	plans := map[string]algebra.Node{
+		"opaque predicate": &algebra.Selection{
+			Input: scan,
+			Pred:  func(r expr.Row) bool { return true },
+			Desc:  "opaque",
+		},
+		"composite operand": &algebra.Selection{
+			Input: scan,
+			Where: expr.WhereCompare("k", vector.CmpNe, types.CompositeValue(core.Empty())),
+		},
 	}
-	before := s.ClusterStats()
-	got, err := s.Execute(plan)
-	if err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	want, err := modin.New().Execute(plan)
-	if err != nil {
-		t.Fatalf("local: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("fallback result differs from local")
-	}
-	after := s.ClusterStats()
-	if after.Fallback != before.Fallback+1 || after.Distributed != before.Distributed {
-		t.Fatalf("expected fallback, stats %+v", after)
+	for name, plan := range plans {
+		before := s.ClusterStats()
+		got, err := s.Execute(plan)
+		if err != nil {
+			t.Fatalf("%s: execute: %v", name, err)
+		}
+		want, err := modin.New().Execute(plan)
+		if err != nil {
+			t.Fatalf("%s: local: %v", name, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: fallback result differs from local", name)
+		}
+		after := s.ClusterStats()
+		if after.Fallback != before.Fallback+1 || after.Distributed != before.Distributed {
+			t.Fatalf("%s: expected fallback, stats %+v", name, after)
+		}
+		if after.FallbackReasons["opaque closure"] != before.FallbackReasons["opaque closure"]+1 {
+			t.Fatalf("%s: fallback reasons %v, want one more \"opaque closure\"", name, after.FallbackReasons)
+		}
+		if desc := s.DescribePhysical(plan); !strings.Contains(desc, "cluster: local fallback (opaque closure)\n") {
+			t.Fatalf("%s: explain lacks the fallback reason:\n%s", name, desc)
+		}
 	}
 }
 

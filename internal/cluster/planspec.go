@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/vector"
 )
 
 // Plan shipping. Go closures cannot cross a process boundary, so the
@@ -41,13 +40,16 @@ const (
 // most one shuffle, and a post-shuffle chain applied to merged buckets.
 // Buckets is the shuffle's global bucket count (set by the coordinator to
 // the live worker count before Prepare); group bands use it to route
-// themselves by key hash without waiting for any fold.
+// themselves by key hash without waiting for any fold. The shuffle travels
+// as the engine's own types, which the shared modin helpers take as is;
+// Sort carries only Order and ByLabels, and its Input must stay nil
+// because gob cannot encode a plan subtree.
 type PlanSpec struct {
 	Source  SourceSpec
 	Buckets int
 	Pre     []OpSpec
-	Group   *GroupSpecWire
-	Sort    *SortSpecWire
+	Group   *expr.GroupBySpec
+	Sort    *algebra.Sort
 	Post    []OpSpec
 }
 
@@ -64,54 +66,19 @@ type SourceSpec struct {
 // OpSpec is one closure-free chain operator.
 type OpSpec struct {
 	Kind  byte
-	Terms []TermSpec // opSelect
-	Cols  []string   // opProject
-	From  []string   // opRename, paired with To
+	Where *expr.Where // opSelect
+	Cols  []string    // opProject
+	From  []string    // opRename, paired with To
 	To    []string
-}
-
-// TermSpec is one structured Where conjunct in wire form.
-type TermSpec struct {
-	Col     string
-	Op      int
-	Operand ValueWire
-}
-
-// GroupSpecWire mirrors expr.GroupBySpec.
-type GroupSpecWire struct {
-	Keys     []string
-	Aggs     []AggWire
-	AsLabels bool
-}
-
-// AggWire mirrors expr.AggSpec.
-type AggWire struct {
-	Col string
-	Agg int
-	As  string
-}
-
-// SortSpecWire mirrors the algebra Sort node's ordering.
-type SortSpecWire struct {
-	Keys     []SortKeyWire
-	ByLabels bool
-}
-
-// SortKeyWire mirrors expr.SortKey.
-type SortKeyWire struct {
-	Col  string
-	Desc bool
 }
 
 // planInfo is the coordinator-side result of extraction: the spec plus the
 // typed handles the coordinator itself needs (the scan for splitting, the
-// source frame for banding, the rebuilt shuffle nodes for folding).
+// source frame for banding).
 type planInfo struct {
 	spec   PlanSpec
 	scan   *algebra.Scan
 	source *core.DataFrame
-	group  *expr.GroupBySpec
-	sortN  *algebra.Sort
 }
 
 // extractPlan renders n into a shippable PlanSpec. A non-empty reason means
@@ -143,21 +110,20 @@ walk:
 			if segment == &pre { // at most one shuffle, nearest the leaf
 				return nil, "double-shuffle"
 			}
-			gw, ok := groupWire(node.Spec)
-			if !ok {
-				return nil, "composite aggregate"
+			for _, a := range node.Spec.Aggs {
+				if a.Agg == expr.AggCollect { // composite cells have no binary form
+					return nil, "composite aggregate"
+				}
 			}
-			info.spec.Group = gw
 			spec := node.Spec
-			info.group = &spec
+			info.spec.Group = &spec
 			segment = &pre
 			cur = node.Input
 		case *algebra.Sort:
 			if segment == &pre {
 				return nil, "double-shuffle"
 			}
-			info.spec.Sort = sortWire(node)
-			info.sortN = node
+			info.spec.Sort = &algebra.Sort{Order: node.Order, ByLabels: node.ByLabels}
 			segment = &pre
 			cur = node.Input
 		case *algebra.Scan:
@@ -197,20 +163,18 @@ walk:
 	return info, ""
 }
 
-// selectOp renders a structured selection; opaque predicates decline.
+// selectOp renders a structured selection; opaque predicates and operands
+// with no binary form (Composite) decline.
 func selectOp(node *algebra.Selection) (OpSpec, bool) {
 	if node.Where == nil {
 		return OpSpec{}, false
 	}
-	terms := make([]TermSpec, len(node.Where.Terms))
-	for i, t := range node.Where.Terms {
-		w, err := valueToWire(t.Operand)
-		if err != nil {
+	for _, t := range node.Where.Terms {
+		if _, err := t.Operand.MarshalBinary(); err != nil {
 			return OpSpec{}, false
 		}
-		terms[i] = TermSpec{Col: t.Col, Op: int(t.Op), Operand: w}
 	}
-	return OpSpec{Kind: opSelect, Terms: terms}, true
+	return OpSpec{Kind: opSelect, Where: node.Where}, true
 }
 
 // renameOp renders a rename mapping as sorted pairs, so the spec is
@@ -226,28 +190,6 @@ func renameOp(mapping map[string]string) OpSpec {
 		to[i] = mapping[f]
 	}
 	return OpSpec{Kind: opRename, From: from, To: to}
-}
-
-// groupWire renders a group spec; composite aggregates (Collect) produce
-// values with no wire form, so they decline.
-func groupWire(spec expr.GroupBySpec) (*GroupSpecWire, bool) {
-	gw := &GroupSpecWire{Keys: append([]string(nil), spec.Keys...), AsLabels: spec.AsLabels}
-	for _, a := range spec.Aggs {
-		if a.Agg == expr.AggCollect {
-			return nil, false
-		}
-		gw.Aggs = append(gw.Aggs, AggWire{Col: a.Col, Agg: int(a.Agg), As: a.As})
-	}
-	return gw, true
-}
-
-// sortWire renders a sort node.
-func sortWire(node *algebra.Sort) *SortSpecWire {
-	sw := &SortSpecWire{ByLabels: node.ByLabels}
-	for _, k := range node.Order {
-		sw.Keys = append(sw.Keys, SortKeyWire{Col: k.Col, Desc: k.Desc})
-	}
-	return sw
 }
 
 // scanSource renders a scan leaf. Distributable scans have a re-openable
@@ -281,25 +223,6 @@ func reverseOps(ops []OpSpec) {
 	}
 }
 
-// groupSpec rebuilds the expr form of a shipped group spec (worker side).
-func (g *GroupSpecWire) groupSpec() expr.GroupBySpec {
-	spec := expr.GroupBySpec{Keys: g.Keys, AsLabels: g.AsLabels}
-	for _, a := range g.Aggs {
-		spec.Aggs = append(spec.Aggs, expr.AggSpec{Col: a.Col, Agg: expr.AggKind(a.Agg), As: a.As})
-	}
-	return spec
-}
-
-// sortNode rebuilds the algebra form of a shipped sort (worker side; the
-// shared modin merge helpers take the node).
-func (s *SortSpecWire) sortNode() *algebra.Sort {
-	node := &algebra.Sort{ByLabels: s.ByLabels}
-	for _, k := range s.Keys {
-		node.Order = append(node.Order, expr.SortKey{Col: k.Col, Desc: k.Desc})
-	}
-	return node
-}
-
 // applyOps runs a shipped chain over one frame through the same typed
 // kernels the in-process engine fuses (SelectWhereView keeps selections
 // zero-copy until the stage-exit compaction).
@@ -308,11 +231,7 @@ func applyOps(df *core.DataFrame, ops []OpSpec) (*core.DataFrame, error) {
 	for _, op := range ops {
 		switch op.Kind {
 		case opSelect:
-			w := &expr.Where{Terms: make([]expr.WhereTerm, len(op.Terms))}
-			for i, t := range op.Terms {
-				w.Terms[i] = expr.WhereTerm{Col: t.Col, Op: vector.CmpOp(t.Op), Operand: wireToValue(t.Operand)}
-			}
-			df, err = algebra.SelectWhereView(df, w)
+			df, err = algebra.SelectWhereView(df, op.Where)
 		case opProject:
 			df, err = algebra.Project(df, op.Cols)
 		case opRename:

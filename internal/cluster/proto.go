@@ -8,6 +8,9 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"repro/internal/modin"
+	"repro/internal/types"
 )
 
 // Control protocol: length-prefixed frames over TCP. Each message is
@@ -17,8 +20,11 @@ import (
 // and every connection carries strictly serial request/response pairs (the
 // coordinator parallelizes across workers, not across messages on one
 // conn; peer fetches open their own connections). Blocks travel inside the
-// gob payloads as []byte fields already rendered through the columnar
-// codec (wire.go), so gob never sees a cell.
+// gob payloads as []byte fields already rendered through the frame codec
+// (core.EncodeFrame), so gob never sees a column; the few scalars a message
+// carries (plan operands, key exemplars, sort samples and bounds) go through
+// types.Value's MarshalBinary — the same scalar form frames use for column
+// labels.
 
 // Request kinds.
 const (
@@ -58,14 +64,6 @@ type RunBandsReq struct {
 	Bands []BandTask
 }
 
-// GroupStatWire is a band's group-key stat (modin.GroupBandStat) in
-// gob-safe form.
-type GroupStatWire struct {
-	Hashes    []uint64
-	Exemplars [][]ValueWire
-	Counts    []int64
-}
-
 // BandResult is one band's stage output: the chained block itself for
 // plans without a shuffle, or the band's shuffle summary. Group bands route
 // themselves the moment they run (bucket = key hash % plan.Buckets, a pure
@@ -76,8 +74,8 @@ type BandResult struct {
 	Band  int
 	Rows  int
 	Block []byte
-	Group *GroupStatWire
-	Sort  [][]ValueWire
+	Group *modin.GroupBandStat
+	Sort  [][]types.Value
 	Sizes []int64
 }
 
@@ -93,7 +91,7 @@ type PartitionReq struct {
 	QID     string
 	Bands   []int
 	Buckets int
-	Bounds  [][]ValueWire
+	Bounds  [][]types.Value
 }
 
 // PartitionResp reports per-band, per-bucket routed piece sizes in bytes —

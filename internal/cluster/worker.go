@@ -281,12 +281,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		if err != nil {
 			return nil, err
 		}
-		stat := modin.GroupStatOf(sum)
-		ex, err := tuplesToWire(stat.Exemplars)
-		if err != nil {
-			return nil, err
-		}
-		res.Group = &GroupStatWire{Hashes: stat.Hashes, Exemplars: ex, Counts: stat.Counts}
+		res.Group = modin.GroupStatOf(sum)
 		// Incremental routing: bucket = key hash % buckets is identical in
 		// every band, so this band partitions from its own summary right here
 		// — no round trip for a routing table, and the band frame (plus its
@@ -311,11 +306,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		}
 		q.mu.Unlock()
 	case plan.Sort != nil:
-		samples, err := modin.SampleSortKeys(df, plan.Sort.sortNode())
-		if err != nil {
-			return nil, err
-		}
-		res.Sort, err = tuplesToWire(samples)
+		res.Sort, err = modin.SampleSortKeys(df, plan.Sort)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +314,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 		q.bands[task.Band] = df
 		q.mu.Unlock()
 	default:
-		res.Block, err = EncodeFrame(nil, df)
+		res.Block, err = core.EncodeFrame(nil, df)
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +328,7 @@ func (w *Worker) runBand(q *workerQuery, plan *PlanSpec, task *BandTask) (*BandR
 func (w *Worker) buildBand(plan *PlanSpec, task *BandTask) (*core.DataFrame, error) {
 	src := &plan.Source
 	if src.Kind == srcFrame {
-		df, rest, err := DecodeFrame(task.Block)
+		df, rest, err := core.DecodeFrame(task.Block)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +419,7 @@ func (w *Worker) partition(req *PartitionReq) (any, error) {
 		if plan.Sort == nil {
 			return fmt.Errorf("cluster: plan has no range shuffle to partition")
 		}
-		views, err := modin.PartitionSortedBand(df, plan.Sort.sortNode(), wireToTuples(req.Bounds), req.Buckets)
+		views, err := modin.PartitionSortedBand(df, plan.Sort, req.Bounds, req.Buckets)
 		if err != nil {
 			return err
 		}
@@ -498,9 +489,9 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		if req.Heavy {
 			routing.Heavy = []bool{true}
 		}
-		out, err = modin.MergeGroupBucket(w.pool, frames, plan.Group.groupSpec(), routing, 0)
+		out, err = modin.MergeGroupBucket(w.pool, frames, *plan.Group, routing, 0)
 	case plan.Sort != nil:
-		out, err = modin.MergeSortBucket(frames, plan.Sort.sortNode())
+		out, err = modin.MergeSortBucket(frames, plan.Sort)
 	default:
 		return nil, fmt.Errorf("cluster: plan has no shuffle to merge")
 	}
@@ -516,7 +507,7 @@ func (w *Worker) merge(req *MergeReq) (any, error) {
 		}
 	}
 	out = out.Compact()
-	block, err := EncodeFrame(nil, out)
+	block, err := core.EncodeFrame(nil, out)
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +526,7 @@ func (w *Worker) fetch(req *FetchReq) (any, error) {
 	if df == nil {
 		return nil, fmt.Errorf("cluster: piece band=%d bucket=%d not resident", req.Band, req.Bucket)
 	}
-	block, err := EncodeFrame(nil, df)
+	block, err := core.EncodeFrame(nil, df)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +552,7 @@ func (w *Worker) fetchPeer(addr, qid string, band, bucket int) (*core.DataFrame,
 		}
 		return nil, &fetchError{addr: addr, msg: err.Error()}
 	}
-	df, rest, err := DecodeFrame(resp.Block)
+	df, rest, err := core.DecodeFrame(resp.Block)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package cluster
+package core
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/vector"
 )
 
@@ -77,10 +76,10 @@ func randColumn(r *rand.Rand, n int) vector.Vector {
 }
 
 // randFrame draws a random frame: 1–5 columns of mixed kinds, 0–30 rows,
-// and (sometimes) non-default row labels — the block shapes the shuffle
-// ships. Generation can't fail on valid inputs, so errors panic (callers
+// and (sometimes) non-default row labels — the shapes shuffles ship and
+// spill. Generation can't fail on valid inputs, so errors panic (callers
 // are tests and fuzz seeding).
-func randFrame(r *rand.Rand, nrows int) *core.DataFrame {
+func randFrame(r *rand.Rand, nrows int) *DataFrame {
 	ncols := r.Intn(5) + 1
 	names := make([]string, ncols)
 	cols := make([]vector.Vector, ncols)
@@ -88,7 +87,7 @@ func randFrame(r *rand.Rand, nrows int) *core.DataFrame {
 		names[j] = fmt.Sprintf("c%d", j)
 		cols[j] = randColumn(r, nrows)
 	}
-	df, err := core.New(names, cols)
+	df, err := New(names, cols)
 	if err != nil {
 		panic(err)
 	}
@@ -101,10 +100,11 @@ func randFrame(r *rand.Rand, nrows int) *core.DataFrame {
 	return df
 }
 
-// TestFrameWireRoundTripProperty checks the block codec's invariants over
+// TestFrameWireRoundTripProperty checks the frame codec's invariants over
 // random frames: Equal after a round trip (labels and cells), exact buffer
-// consumption, and byte-stable re-encoding — the property the coordinator
-// leans on when a re-submitted band's block replaces a lost worker's.
+// consumption, and byte-stable re-encoding — the property the cluster
+// coordinator leans on when a re-submitted band's block replaces a lost
+// worker's.
 func TestFrameWireRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 200; iter++ {

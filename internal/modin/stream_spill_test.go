@@ -5,12 +5,14 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/eager"
 	"repro/internal/expr"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // scanOver renders a frame to CSV and wraps it in a re-openable Scan node,
@@ -52,24 +54,67 @@ func assertEngineAgreesWithEager(t *testing.T, e *Engine, plan algebra.Node) *co
 	return got
 }
 
+// spillFidelityFrame holds what a spill through rendered strings loses: an Int
+// key column whose declared domain is still Unspecified, sub-second Datetime
+// cells, and an Int column label.
+func spillFidelityFrame(rows int) *core.DataFrame {
+	ks, ts, xs := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	base := time.Date(2020, 3, 1, 8, 0, 0, 0, time.UTC).UnixNano()
+	for i := range ks {
+		ks[i] = int64(i % 5)
+		ts[i] = base + int64(i)*123_456_789
+		xs[i] = int64(i)
+	}
+	df, err := core.Build(
+		[]vector.Vector{vector.NewInt(ks, nil), vector.NewDatetime(ts, nil), vector.NewInt(xs, nil)},
+		nil,
+		[]types.Value{types.String("k"), types.String("ts"), types.IntValue(2020)},
+		[]types.Domain{types.Unspecified, types.Datetime, types.Int},
+		nil,
+	)
+	if err != nil {
+		panic(err)
+	}
+	return df
+}
+
 // TestSpillGroupByMatchesInMemory forces every routed groupby piece through
 // the disk pool (budget of one cell) and requires the merged result to be
 // byte-equal to the in-memory path.
 func TestSpillGroupByMatchesInMemory(t *testing.T) {
-	e := New(WithBands(4), WithShuffleSpillBudget(1))
-	assertEngineAgreesWithEager(t, e, groupByPlan(&algebra.Source{DF: testFrame(200)}))
-	if got := e.Stats().SpilledPieces.Load(); got == 0 {
-		t.Error("expected spilled pieces under a one-cell budget")
+	fidelity := &algebra.GroupBy{
+		Input: &algebra.Source{DF: spillFidelityFrame(200)},
+		Spec: expr.GroupBySpec{
+			Keys: []string{"k"},
+			Aggs: []expr.AggSpec{
+				{Col: "ts", Agg: expr.AggMin},
+				{Col: "ts", Agg: expr.AggMax},
+				{Col: "2020", Agg: expr.AggSum},
+			},
+		},
+	}
+	for _, plan := range []algebra.Node{groupByPlan(&algebra.Source{DF: testFrame(200)}), fidelity} {
+		e := New(WithBands(4), WithShuffleSpillBudget(1))
+		assertEngineAgreesWithEager(t, e, plan)
+		if got := e.Stats().SpilledPieces.Load(); got == 0 {
+			t.Error("expected spilled pieces under a one-cell budget")
+		}
 	}
 }
 
 // TestSpillSortMatchesInMemory spills sorted runs and re-resolves them at
 // the k-way merge.
 func TestSpillSortMatchesInMemory(t *testing.T) {
-	e := New(WithBands(4), WithShuffleSpillBudget(1))
-	assertEngineAgreesWithEager(t, e, sortTestPlan(&algebra.Source{DF: testFrame(150)}))
-	if got := e.Stats().SpilledPieces.Load(); got == 0 {
-		t.Error("expected spilled sort runs under a one-cell budget")
+	fidelity := &algebra.Sort{
+		Input: &algebra.Source{DF: spillFidelityFrame(150)},
+		Order: expr.SortOrder{{Col: "k"}, {Col: "ts", Desc: true}},
+	}
+	for _, plan := range []algebra.Node{sortTestPlan(&algebra.Source{DF: testFrame(150)}), fidelity} {
+		e := New(WithBands(4), WithShuffleSpillBudget(1))
+		assertEngineAgreesWithEager(t, e, plan)
+		if got := e.Stats().SpilledPieces.Load(); got == 0 {
+			t.Error("expected spilled sort runs under a one-cell budget")
+		}
 	}
 }
 

@@ -3,10 +3,15 @@
 // intermediate dataframes can exceed main-memory limits without failing —
 // unlike the baseline, which simply errors. To maintain pandas semantics,
 // spilled partitions are freed when the session ends (Close).
+//
+// Spill files hold frames in the typed columnar format of core.EncodeFrame,
+// the one codec that also serves the cluster's shuffle blocks (whose
+// control messages carry scalars in types.Value's binary form). A reloaded
+// frame is cell-, label- and domain-identical to the one spilled. Files
+// live only for one store's lifetime, so there is no format versioning.
 package storage
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -14,8 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // ErrNotFound reports a key with no stored frame.
@@ -77,7 +80,7 @@ func (s *Store) Get(key string) (*core.DataFrame, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if e.frame == nil {
-		df, err := readFrame(e.path)
+		df, err := readSpill(e.path)
 		if err != nil {
 			return nil, fmt.Errorf("storage: load spilled %q: %w", key, err)
 		}
@@ -110,17 +113,9 @@ func (s *Store) Release(key string) error {
 	if !ok || e.frame == nil {
 		return nil
 	}
-	if e.path == "" {
-		s.seq++
-		path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
-		if err := writeFrame(path, e.frame); err != nil {
-			return fmt.Errorf("storage: release %q: %w", key, err)
-		}
-		e.path = path
+	if err := s.spillLocked(e); err != nil {
+		return fmt.Errorf("storage: release %q: %w", key, err)
 	}
-	e.frame = nil
-	s.resident -= e.cells
-	s.spills++
 	return nil
 }
 
@@ -196,118 +191,47 @@ func (s *Store) enforceBudgetLocked(keep string) error {
 		if victim == "" {
 			return nil // nothing else to spill; allow overshoot
 		}
-		e := s.entries[victim]
-		if e.path == "" {
-			s.seq++
-			path := filepath.Join(s.dir, fmt.Sprintf("%x.gob", s.seq))
-			if err := writeFrame(path, e.frame); err != nil {
-				return fmt.Errorf("storage: spill %q: %w", victim, err)
-			}
-			e.path = path
+		if err := s.spillLocked(s.entries[victim]); err != nil {
+			return fmt.Errorf("storage: spill %q: %w", victim, err)
 		}
-		e.frame = nil
-		s.resident -= e.cells
-		s.spills++
 	}
 	return nil
 }
 
-// frameDisk is the gob-serializable form of a dataframe: everything goes
-// through the Σ* rendering, with domains recorded so the typed form is
-// recovered on load.
-type frameDisk struct {
-	ColNames  []string
-	Domains   []int
-	RowLabels []string
-	LabelDom  int
-	Cells     [][]string // column-major
-	Nulls     [][]bool
-	LabelNull []bool
+// spillLocked drops e's resident frame, first writing it to a spill file
+// unless a reload left the file from an earlier spill in place.
+func (s *Store) spillLocked(e *entry) error {
+	if e.path == "" {
+		buf, err := core.EncodeFrame(nil, e.frame)
+		if err != nil {
+			return err
+		}
+		s.seq++
+		path := filepath.Join(s.dir, fmt.Sprintf("%x.frame", s.seq))
+		if err := os.WriteFile(path, buf, 0o600); err != nil {
+			os.Remove(path)
+			return err
+		}
+		e.path = path
+	}
+	e.frame = nil
+	s.resident -= e.cells
+	s.spills++
+	return nil
 }
 
-func writeFrame(path string, df *core.DataFrame) error {
-	d := frameDisk{
-		ColNames: df.ColNames(),
-		Domains:  make([]int, df.NCols()),
-		Cells:    make([][]string, df.NCols()),
-		Nulls:    make([][]bool, df.NCols()),
-	}
-	for j := 0; j < df.NCols(); j++ {
-		d.Domains[j] = int(df.DeclaredDomain(j))
-		col := df.Col(j)
-		cells := make([]string, col.Len())
-		nulls := make([]bool, col.Len())
-		for i := 0; i < col.Len(); i++ {
-			v := col.Value(i)
-			nulls[i] = v.IsNull()
-			if !v.IsNull() {
-				cells[i] = v.String()
-			}
-		}
-		d.Cells[j] = cells
-		d.Nulls[j] = nulls
-	}
-	labels := df.RowLabels()
-	d.LabelDom = int(labels.Domain())
-	d.RowLabels = make([]string, labels.Len())
-	d.LabelNull = make([]bool, labels.Len())
-	for i := 0; i < labels.Len(); i++ {
-		v := labels.Value(i)
-		d.LabelNull[i] = v.IsNull()
-		if !v.IsNull() {
-			d.RowLabels[i] = v.String()
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return gob.NewEncoder(f).Encode(&d)
-}
-
-func readFrame(path string) (*core.DataFrame, error) {
-	f, err := os.Open(path)
+// readSpill loads a frame written by spillLocked.
+func readSpill(path string) (*core.DataFrame, error) {
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var d frameDisk
-	if err := gob.NewDecoder(f).Decode(&d); err != nil {
+	df, rest, err := core.DecodeFrame(buf)
+	if err != nil {
 		return nil, err
 	}
-	cols := make([]vector.Vector, len(d.ColNames))
-	doms := make([]types.Domain, len(d.ColNames))
-	labels := make([]types.Value, len(d.ColNames))
-	for j := range cols {
-		doms[j] = types.Domain(d.Domains[j])
-		labels[j] = types.String(d.ColNames[j])
-		dom := doms[j]
-		if !dom.Valid() {
-			dom = types.Object
-		}
-		b := vector.NewBuilder(dom, len(d.Cells[j]))
-		for i, cell := range d.Cells[j] {
-			switch {
-			case d.Nulls[j][i]:
-				b.AppendNull()
-			case dom == types.Object:
-				// The null mask is authoritative: a literal "NA"
-				// string cell must stay a string.
-				b.Append(types.String(cell))
-			default:
-				b.AppendString(cell)
-			}
-		}
-		cols[j] = b.Build()
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after frame", len(rest))
 	}
-	lb := vector.NewBuilder(types.Domain(d.LabelDom), len(d.RowLabels))
-	for i, cell := range d.RowLabels {
-		if d.LabelNull[i] {
-			lb.AppendNull()
-		} else {
-			lb.AppendString(cell)
-		}
-	}
-	return core.Build(cols, lb.Build(), labels, doms, nil)
+	return df, nil
 }

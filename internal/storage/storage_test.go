@@ -2,9 +2,14 @@ package storage
 
 import (
 	"errors"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func frame(t *testing.T, rows int) *core.DataFrame {
@@ -138,6 +143,29 @@ func TestCloseDropsEverything(t *testing.T) {
 	}
 }
 
+// fidelityFrame holds what a spill through rendered strings loses: sub-second
+// Datetime cells, an Int column whose declared domain is still
+// Unspecified, and an Int column label.
+func fidelityFrame(t *testing.T) *core.DataFrame {
+	t.Helper()
+	base := time.Date(2020, 3, 1, 8, 0, 0, 0, time.UTC).UnixNano()
+	ts := []int64{base + 1, base + 250_000_000, base + 999_999_999}
+	df, err := core.Build(
+		[]vector.Vector{
+			vector.NewDatetime(ts, []bool{false, true, false}),
+			vector.NewInt([]int64{7, -3, 42}, nil),
+		},
+		nil,
+		[]types.Value{types.String("ts"), types.IntValue(2020)},
+		[]types.Domain{types.Datetime, types.Unspecified},
+		nil,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return df
+}
+
 func TestTypedDomainsSurviveSpill(t *testing.T) {
 	s := newStore(t, 1) // everything spills
 	df := frame(t, 30)
@@ -146,7 +174,8 @@ func TestTypedDomainsSurviveSpill(t *testing.T) {
 		df.Domain(j)
 	}
 	s.Put("typed", df)
-	s.Put("evict", frame(t, 30)) // pushes "typed" out
+	s.Put("fidelity", fidelityFrame(t))
+	s.Put("evict", frame(t, 30)) // pushes both out
 	got, err := s.Get("typed")
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +185,44 @@ func TestTypedDomainsSurviveSpill(t *testing.T) {
 	}
 	if !got.Equal(df) {
 		t.Error("typed reload mismatch")
+	}
+	got, err = s.Get("fidelity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Before Equal, which induces and memoizes the domain.
+	if d := got.DeclaredDomain(1); d != types.Unspecified {
+		t.Errorf("declared domain after reload = %v, want unspecified", d)
+	}
+	if want := fidelityFrame(t); !got.Equal(want) {
+		t.Errorf("fidelity reload mismatch:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestTruncatedSpillFileFailsGet: a spill file cut short on disk must make
+// Get fail with an error naming the key, not panic or return a frame.
+func TestTruncatedSpillFileFailsGet(t *testing.T) {
+	s := newStore(t, 0)
+	if err := s.Put("cut", frame(t, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release("cut"); err != nil {
+		t.Fatal(err)
+	}
+	path := s.entries["cut"].path
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get("cut")
+	if err == nil {
+		t.Fatalf("truncated spill loaded a %dx%d frame", got.NRows(), got.NCols())
+	}
+	if !strings.Contains(err.Error(), `"cut"`) {
+		t.Errorf("error does not name the key: %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Columnar wire format: typed storage serialized as length-prefixed raw
 // little-endian buffers, straight from the vectors' backing arrays — no
-// per-cell boxing anywhere. This is the block encoding the cluster layer
-// ships between the coordinator and dfworker processes.
+// per-cell boxing anywhere. core.EncodeFrame builds on it, so it is the
+// column encoding of both spill files and the cluster's shuffle blocks.
 //
 // Layout per vector:
 //
